@@ -1,7 +1,8 @@
 // Generator scalability: code-generation wall time as the model grows
-// (batch chains of 10..200 actors).  Complements E4 — the paper reports
-// whole-suite generation times; this shows how Algorithm 2's subgraph
-// enumeration scales with region size.
+// (batch chains of 25..1600 actors, doubling per row).  Complements E4 — the
+// paper reports whole-suite generation times; this shows how Algorithm 2's
+// subgraph enumeration scales with region size.  The HCG t(2n)/t(n) column
+// is about 2 when generation is linear in model size.
 #include "bench_util.hpp"
 #include "isa/builtin.hpp"
 
@@ -12,9 +13,11 @@ int main() {
 
   std::printf("== Generation-time scaling over batch-chain length ==\n\n");
   std::vector<std::vector<std::string>> table;
-  table.push_back({"Actors", "Simulink", "DFSynth", "HCG", "HCG instrs"});
+  table.push_back(
+      {"Actors", "Simulink", "DFSynth", "HCG", "HCG t(2n)/t(n)", "HCG instrs"});
 
-  for (int actors : {10, 25, 50, 100, 200}) {
+  double previous_hcg = 0;
+  for (int actors : {25, 50, 100, 200, 400, 800, 1600}) {
     Model model = resolved(benchmodels::batch_chain_model(actors, 256));
 
     auto time_tool = [&](codegen::Generator& tool) {
@@ -36,9 +39,15 @@ int main() {
     auto [t_df, c_df] = time_tool(*df);
     auto [t_hcg, c_hcg] = time_tool(*hcg);
 
+    char growth[32] = "-";
+    if (previous_hcg > 0) {
+      std::snprintf(growth, sizeof growth, "%.2f", t_hcg / previous_hcg);
+    }
+    previous_hcg = t_hcg;
+
     table.push_back({std::to_string(actors), bench::format_seconds(t_sc),
                      bench::format_seconds(t_df),
-                     bench::format_seconds(t_hcg),
+                     bench::format_seconds(t_hcg), growth,
                      std::to_string(c_hcg.simd_instructions.size())});
   }
   bench::print_table(table);

@@ -100,24 +100,27 @@ int Dataflow::sink_of(const std::vector<int>& subgraph) const {
 }
 
 bool Dataflow::is_convex(const std::vector<int>& subgraph) const {
+  if (subgraph.empty()) return true;
   const std::set<int> members(subgraph.begin(), subgraph.end());
+  // Edges only run from lower to higher indices (add_node), so a node
+  // numbered above the largest member can never lead back into the
+  // subgraph: the forward walk stops there.
+  const int last = *members.rbegin();
   // For every member, walk forward through non-members; if we re-enter the
   // subgraph the set is non-convex.
   for (int start : subgraph) {
     std::vector<int> stack;
     std::set<int> visited;
     for (int c : consumers(start)) {
-      if (!members.count(c)) stack.push_back(c);
+      if (c < last && !members.count(c)) stack.push_back(c);
     }
     while (!stack.empty()) {
       int n = stack.back();
       stack.pop_back();
-      if (visited.count(n)) continue;
-      visited.insert(n);
-      if (members.count(n)) return false;
+      if (!visited.insert(n).second) continue;
       for (int c : consumers(n)) {
         if (members.count(c)) return false;
-        stack.push_back(c);
+        if (c < last) stack.push_back(c);
       }
     }
   }

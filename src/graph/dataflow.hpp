@@ -88,7 +88,9 @@ class Dataflow {
 
   /// The "topmost and leftmost" unmapped node (Algorithm 2 line 12): the
   /// lowest-index node whose node-operands are all in `mapped`.
-  /// Returns -1 when every node is mapped.
+  /// Returns -1 when every node is mapped.  Because add_node numbers nodes
+  /// in dependency order, this is always the first unmapped index — which
+  /// is what lets Algorithm 2 advance a cursor instead of calling this.
   int top_left_node(const std::vector<bool>& mapped) const;
 
   /// extendGraphs (Algorithm 2 line 13): all *convex* connected subgraphs of
@@ -106,6 +108,7 @@ class Dataflow {
 
   /// Convexity (paper: "nodes do not indirectly depend on the results of its
   /// own nodes"): no path between two members passes through a non-member.
+  /// Only non-members numbered below the largest member are visited.
   bool is_convex(const std::vector<int>& subgraph) const;
 
   /// Independence (Algorithm 2 line 15): every node-operand entering the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <queue>
 #include <set>
 
 #include "actors/catalog.hpp"
@@ -151,11 +152,13 @@ std::vector<BatchRegion> find_batch_regions(const Model& model,
         ActorId n = stack.back();
         stack.pop_back();
         if (!piece.insert(n).second) continue;
-        for (const Connection& c : model.connections()) {
-          if (c.src == n && member_set.count(c.dst) && !piece.count(c.dst)) {
+        for (const Connection& c : model.outgoing_all(n)) {
+          if (member_set.count(c.dst) && !piece.count(c.dst)) {
             stack.push_back(c.dst);
           }
-          if (c.dst == n && member_set.count(c.src) && !piece.count(c.src)) {
+        }
+        for (const Connection& c : model.incoming_all(n)) {
+          if (member_set.count(c.src) && !piece.count(c.src)) {
             stack.push_back(c.src);
           }
         }
@@ -191,12 +194,13 @@ std::vector<BatchRegion> find_batch_regions(const Model& model,
 
   std::vector<BatchRegion> regions;
   // Deterministic region order: by first actor's firing position.
+  std::vector<int> position(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    position[static_cast<size_t>(order[i])] = static_cast<int>(i);
+  }
   std::vector<std::pair<int, std::vector<ActorId>>> ordered;
   for (auto& members : final_groups) {
-    int first_pos = 0;
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == members.front()) first_pos = static_cast<int>(i);
-    }
+    const int first_pos = position[static_cast<size_t>(members.front())];
     ordered.emplace_back(first_pos, std::move(members));
   }
   std::sort(ordered.begin(), ordered.end(),
@@ -344,30 +348,33 @@ std::vector<EmissionItem> emission_order(
     item_of[static_cast<size_t>(id)] = static_cast<int>(items.size()) - 1;
   }
 
-  std::vector<int> pending(items.size(), 0);
-  std::set<std::pair<int, int>> edges;
+  // Distinct contracted edges as per-item successor lists.
+  std::vector<std::vector<int>> successors(items.size());
   for (const Connection& c : model.connections()) {
     if (is_delay_type(model.actor(c.src).type())) continue;
     const int a = item_of[static_cast<size_t>(c.src)];
     const int b = item_of[static_cast<size_t>(c.dst)];
-    if (a == b) continue;
-    if (edges.insert({a, b}).second) ++pending[static_cast<size_t>(b)];
+    if (a != b) successors[static_cast<size_t>(a)].push_back(b);
+  }
+  std::vector<int> pending(items.size(), 0);
+  for (std::vector<int>& next : successors) {
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    for (int b : next) ++pending[static_cast<size_t>(b)];
   }
 
-  std::vector<int> ready;
+  // Kahn's algorithm, smallest item first.
+  std::priority_queue<int, std::vector<int>, std::greater<>> ready;
   for (size_t i = 0; i < items.size(); ++i) {
-    if (pending[i] == 0) ready.push_back(static_cast<int>(i));
+    if (pending[i] == 0) ready.push(static_cast<int>(i));
   }
   std::vector<EmissionItem> order;
   while (!ready.empty()) {
-    auto it = std::min_element(ready.begin(), ready.end());
-    const int item = *it;
-    ready.erase(it);
+    const int item = ready.top();
+    ready.pop();
     order.push_back(items[static_cast<size_t>(item)]);
-    for (const auto& [a, b] : edges) {
-      if (a == item && --pending[static_cast<size_t>(b)] == 0) {
-        ready.push_back(b);
-      }
+    for (int b : successors[static_cast<size_t>(item)]) {
+      if (--pending[static_cast<size_t>(b)] == 0) ready.push(b);
     }
   }
   require(order.size() == items.size(),

@@ -1,5 +1,7 @@
 #include "model/model.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -76,6 +78,9 @@ ActorId Model::add_actor(std::string_view name, std::string_view type) {
   }
   ActorId id = static_cast<ActorId>(actors_.size());
   actors_.emplace_back(id, std::string(name), std::string(type));
+  by_name_.emplace(std::string(name), id);
+  in_of_.emplace_back();
+  out_of_.emplace_back();
   return id;
 }
 
@@ -86,14 +91,15 @@ void Model::connect(ActorId src, int src_port, ActorId dst, int dst_port) {
   if (src_port < 0 || dst_port < 0) {
     throw ModelError("connect: negative port index");
   }
-  for (const Connection& c : connections_) {
-    if (c.dst == dst && c.dst_port == dst_port) {
-      throw ModelError("input port " + std::to_string(dst_port) +
-                       " of actor '" + actor(dst).name() +
-                       "' already has an incoming connection");
-    }
+  if (incoming_index(dst, dst_port) != -1) {
+    throw ModelError("input port " + std::to_string(dst_port) +
+                     " of actor '" + actor(dst).name() +
+                     "' already has an incoming connection");
   }
+  const int index = static_cast<int>(connections_.size());
   connections_.push_back(Connection{src, src_port, dst, dst_port});
+  in_of_[static_cast<size_t>(dst)].push_back(index);
+  out_of_[static_cast<size_t>(src)].push_back(index);
 }
 
 void Model::rewire_input(ActorId dst, int dst_port, ActorId new_src,
@@ -101,16 +107,21 @@ void Model::rewire_input(ActorId dst, int dst_port, ActorId new_src,
   if (new_src < 0 || new_src >= actor_count()) {
     throw ModelError("rewire_input: actor id out of range");
   }
-  for (Connection& c : connections_) {
-    if (c.dst == dst && c.dst_port == dst_port) {
-      c.src = new_src;
-      c.src_port = new_src_port;
-      return;
-    }
+  const int index = incoming_index(dst, dst_port);
+  if (index == -1) {
+    throw ModelError("rewire_input: input port " + std::to_string(dst_port) +
+                     " of actor '" + actor(dst).name() +
+                     "' has no incoming connection");
   }
-  throw ModelError("rewire_input: input port " + std::to_string(dst_port) +
-                   " of actor '" + actor(dst).name() +
-                   "' has no incoming connection");
+  Connection& c = connections_[static_cast<size_t>(index)];
+  // Move the index between source lists, keeping the new list ascending so
+  // outgoing() keeps the connection-list order.
+  std::vector<int>& from = out_of_[static_cast<size_t>(c.src)];
+  from.erase(std::find(from.begin(), from.end(), index));
+  std::vector<int>& to = out_of_[static_cast<size_t>(new_src)];
+  to.insert(std::lower_bound(to.begin(), to.end(), index), index);
+  c.src = new_src;
+  c.src_port = new_src_port;
 }
 
 Actor& Model::actor(ActorId id) {
@@ -128,10 +139,8 @@ const Actor& Model::actor(ActorId id) const {
 }
 
 ActorId Model::find_actor(std::string_view name) const {
-  for (const Actor& a : actors_) {
-    if (a.name() == name) return a.id();
-  }
-  return kNoActor;
+  auto it = by_name_.find(name);
+  return it == by_name_.end() ? kNoActor : it->second;
 }
 
 const Actor& Model::actor_by_name(std::string_view name) const {
@@ -142,27 +151,44 @@ const Actor& Model::actor_by_name(std::string_view name) const {
   return actor(id);
 }
 
-std::optional<Connection> Model::incoming(ActorId dst, int dst_port) const {
-  for (const Connection& c : connections_) {
-    if (c.dst == dst && c.dst_port == dst_port) return c;
+int Model::incoming_index(ActorId dst, int dst_port) const {
+  if (dst < 0 || dst >= actor_count()) return -1;
+  for (int index : in_of_[static_cast<size_t>(dst)]) {
+    if (connections_[static_cast<size_t>(index)].dst_port == dst_port) {
+      return index;
+    }
   }
-  return std::nullopt;
+  return -1;
+}
+
+std::vector<Connection> Model::gather(
+    const std::vector<std::vector<int>>& lists, ActorId id) const {
+  std::vector<Connection> out;
+  if (id < 0 || id >= actor_count()) return out;
+  for (int index : lists[static_cast<size_t>(id)]) {
+    out.push_back(connections_[static_cast<size_t>(index)]);
+  }
+  return out;
+}
+
+std::optional<Connection> Model::incoming(ActorId dst, int dst_port) const {
+  const int index = incoming_index(dst, dst_port);
+  if (index == -1) return std::nullopt;
+  return connections_[static_cast<size_t>(index)];
 }
 
 std::vector<Connection> Model::outgoing(ActorId src, int src_port) const {
-  std::vector<Connection> out;
-  for (const Connection& c : connections_) {
-    if (c.src == src && c.src_port == src_port) out.push_back(c);
-  }
+  std::vector<Connection> out = outgoing_all(src);
+  std::erase_if(out, [&](const Connection& c) { return c.src_port != src_port; });
   return out;
 }
 
 std::vector<Connection> Model::outgoing_all(ActorId src) const {
-  std::vector<Connection> out;
-  for (const Connection& c : connections_) {
-    if (c.src == src) out.push_back(c);
-  }
-  return out;
+  return gather(out_of_, src);
+}
+
+std::vector<Connection> Model::incoming_all(ActorId dst) const {
+  return gather(in_of_, dst);
 }
 
 std::vector<ActorId> Model::inports() const { return actors_of_type("Inport"); }

@@ -6,10 +6,12 @@
 // actor registry — typed/shaped input and output ports.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "model/datatype.hpp"
@@ -86,6 +88,10 @@ struct Connection {
   bool operator==(const Connection&) const = default;
 };
 
+/// The actor/connection graph.  Besides the connection list, a Model keeps
+/// a name index and per-actor lists of incoming and outgoing connection
+/// indices (each ascending), so name lookups are O(1) and wiring queries are
+/// O(degree) while answering exactly like a scan of connections().
 class Model {
  public:
   explicit Model(std::string name) : name_(std::move(name)) {}
@@ -113,7 +119,7 @@ class Model {
   const std::vector<Actor>& actors() const { return actors_; }
   std::vector<Actor>& actors() { return actors_; }
 
-  /// Finds an actor by name; returns kNoActor if absent.
+  /// Finds an actor by name in O(1); returns kNoActor if absent.
   ActorId find_actor(std::string_view name) const;
   /// Finds an actor by name; throws hcg::ModelError if absent.
   const Actor& actor_by_name(std::string_view name) const;
@@ -126,6 +132,8 @@ class Model {
   std::vector<Connection> outgoing(ActorId src, int src_port) const;
   /// All connections leaving any output port of `src`.
   std::vector<Connection> outgoing_all(ActorId src) const;
+  /// All connections entering any input port of `dst`.
+  std::vector<Connection> incoming_all(ActorId dst) const;
 
   /// Inport actors in declaration order — the external inputs of the model.
   std::vector<ActorId> inports() const;
@@ -139,6 +147,24 @@ class Model {
   std::string name_;
   std::vector<Actor> actors_;
   std::vector<Connection> connections_;
+
+  /// Heterogeneous hashing so find_actor(string_view) allocates nothing.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, ActorId, NameHash, std::equal_to<>> by_name_;
+  // Indices into connections_, per actor, in ascending order.
+  std::vector<std::vector<int>> in_of_;
+  std::vector<std::vector<int>> out_of_;
+
+  /// Connection indices from `lists[id]`, or none for an unknown id.
+  std::vector<Connection> gather(const std::vector<std::vector<int>>& lists,
+                                 ActorId id) const;
+  /// Index of the connection feeding (dst, dst_port), or -1.
+  int incoming_index(ActorId dst, int dst_port) const;
 };
 
 }  // namespace hcg

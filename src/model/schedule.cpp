@@ -1,6 +1,7 @@
 #include "model/schedule.hpp"
 
-#include <algorithm>
+#include <functional>
+#include <queue>
 
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -25,24 +26,23 @@ std::vector<ActorId> schedule(const Model& model) {
     ++pending[static_cast<size_t>(c.dst)];
   }
 
-  // Kahn's algorithm with an id-ordered ready set for determinism.
-  std::vector<ActorId> ready;
+  // Kahn's algorithm with a min-heap ready set: smallest id first, for
+  // determinism.
+  std::priority_queue<ActorId, std::vector<ActorId>, std::greater<>> ready;
   for (ActorId id = 0; id < n; ++id) {
-    if (pending[static_cast<size_t>(id)] == 0) ready.push_back(id);
+    if (pending[static_cast<size_t>(id)] == 0) ready.push(id);
   }
 
   std::vector<ActorId> order;
   order.reserve(static_cast<size_t>(n));
   while (!ready.empty()) {
-    // Smallest id first.
-    auto it = std::min_element(ready.begin(), ready.end());
-    ActorId id = *it;
-    ready.erase(it);
+    const ActorId id = ready.top();
+    ready.pop();
     order.push_back(id);
     if (is_delay_type(model.actor(id).type())) continue;
     for (const Connection& c : model.outgoing_all(id)) {
       if (is_delay_type(model.actor(c.dst).type())) continue;
-      if (--pending[static_cast<size_t>(c.dst)] == 0) ready.push_back(c.dst);
+      if (--pending[static_cast<size_t>(c.dst)] == 0) ready.push(c.dst);
     }
   }
 

@@ -133,11 +133,11 @@ class BatchSynthesizer {
   std::vector<cgir::Stmt> map_graph(BatchSynthResult& result) {
     std::vector<cgir::Stmt> lines;
     std::vector<bool> mapped(static_cast<size_t>(graph_.node_count()), false);
-    int remaining = graph_.node_count();
-
-    while (remaining > 0) {
-      const int seed = graph_.top_left_node(mapped);  // line 12
-      require(seed != -1, "batch synth: no ready node but graph not mapped");
+    // Line 12's topmost-leftmost ready node is always the first unmapped
+    // index (Dataflow::top_left_node), and every step maps its seed, so one
+    // forward sweep visits the seeds in the paper's order in O(n) total.
+    for (int seed = 0; seed < graph_.node_count(); ++seed) {
+      if (mapped[static_cast<size_t>(seed)]) continue;
 
       const std::vector<std::vector<int>> subgraphs =
           graph_.extend_subgraphs(seed, mapped, isa_.max_pattern_nodes());
@@ -167,7 +167,6 @@ class BatchSynthesizer {
         for (int member : subgraph) {  // line 21: removeNodes
           mapped[static_cast<size_t>(member)] = true;
         }
-        remaining -= static_cast<int>(subgraph.size());
         advanced = true;
         break;  // line 22
       }

@@ -40,6 +40,12 @@ constexpr GoldenCase kCases[] = {
     {"fir_dfsynth", 5, "dfsynth"},
 };
 
+// Without this gtest prints the raw bytes of the two pointers, so the listed
+// test names (and the ctest names derived from them) change on every run.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << "model " << c.model << ", " << c.tool;
+}
+
 std::filesystem::path golden_dir() {
   return std::filesystem::path(HCG_GOLDEN_DIR);
 }

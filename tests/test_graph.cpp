@@ -3,11 +3,15 @@
 // order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "actors/resolve.hpp"
 #include "benchmodels/benchmodels.hpp"
 #include "graph/regions.hpp"
 #include "model/builder.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace hcg {
 namespace {
@@ -53,6 +57,144 @@ TEST(Dataflow, OpCostOrdersExpensiveOpsFirst) {
   EXPECT_GT(op_cost(BatchOp::kDiv), op_cost(BatchOp::kMul));
   EXPECT_GT(op_cost(BatchOp::kMul), op_cost(BatchOp::kAdd));
   EXPECT_EQ(op_cost(BatchOp::kSqrt), op_cost(BatchOp::kRecp));
+}
+
+// ---------------------------------------------------------------------------
+// Topological numbering: the invariants linear-time Algorithm 2 relies on
+// ---------------------------------------------------------------------------
+
+// A random DAG whose nodes are numbered in dependency order, as add_node
+// requires: every node operand refers to an earlier node.
+Dataflow random_dag(Rng& rng) {
+  Dataflow g(16, 32);
+  const int externals = static_cast<int>(rng.uniform_int(1, 3));
+  for (int x = 0; x < externals; ++x) g.add_external({0, 0, DataType::kInt32});
+  const int nodes = static_cast<int>(rng.uniform_int(2, 14));
+  for (int i = 0; i < nodes; ++i) {
+    const bool binary = rng.uniform_int(0, 2) != 0;
+    DfgNode node{binary ? BatchOp::kAdd : BatchOp::kAbs, {}, DataType::kInt32, 0};
+    for (int k = 0; k < (binary ? 2 : 1); ++k) {
+      if (i > 0 && rng.uniform_int(0, 3) != 0) {
+        node.operands.push_back(
+            ValueRef::node(static_cast<int>(rng.uniform_int(0, i - 1))));
+      } else {
+        node.operands.push_back(ValueRef::external(
+            static_cast<int>(rng.uniform_int(0, externals - 1))));
+      }
+    }
+    g.add_node(std::move(node));
+  }
+  for (int i = 0; i < g.node_count(); ++i) {
+    if (g.consumers(i).empty() || rng.uniform_int(0, 4) == 0) g.mark_output(i);
+  }
+  return g;
+}
+
+std::vector<bool> random_mask(Rng& rng, int n) {
+  std::vector<bool> mask(static_cast<size_t>(n));
+  for (size_t i = 0; i < mask.size(); ++i) mask[i] = rng.uniform_int(0, 2) == 0;
+  return mask;
+}
+
+// Convexity by unbounded reachability: no member is reachable from another
+// member through a non-member.
+bool reference_convex(const Dataflow& g, const std::vector<int>& subgraph) {
+  const std::set<int> members(subgraph.begin(), subgraph.end());
+  std::vector<int> stack;
+  for (int m : subgraph) {
+    for (int c : g.consumers(m)) {
+      if (!members.count(c)) stack.push_back(c);
+    }
+  }
+  std::set<int> visited;
+  while (!stack.empty()) {
+    const int n = stack.back();
+    stack.pop_back();
+    if (members.count(n)) return false;
+    if (!visited.insert(n).second) continue;
+    for (int c : g.consumers(n)) stack.push_back(c);
+  }
+  return true;
+}
+
+// Every connected set of unmapped nodes containing `seed` with at most
+// `max_nodes` members, each sorted.
+std::set<std::vector<int>> connected_sets(const Dataflow& g, int seed,
+                                          const std::vector<bool>& mapped,
+                                          int max_nodes) {
+  std::set<std::vector<int>> all{{seed}};
+  std::vector<std::vector<int>> frontier{{seed}};
+  while (!frontier.empty()) {
+    std::vector<std::vector<int>> next;
+    for (const std::vector<int>& set : frontier) {
+      if (static_cast<int>(set.size()) >= max_nodes) continue;
+      for (int m : set) {
+        std::vector<int> adjacent = g.consumers(m);
+        for (const ValueRef& v : g.node(m).operands) {
+          if (v.kind == ValueRef::Kind::kNode) adjacent.push_back(v.index);
+        }
+        for (int a : adjacent) {
+          if (mapped[static_cast<size_t>(a)]) continue;
+          if (std::find(set.begin(), set.end(), a) != set.end()) continue;
+          std::vector<int> grown = set;
+          grown.push_back(a);
+          std::sort(grown.begin(), grown.end());
+          if (all.insert(grown).second) next.push_back(std::move(grown));
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return all;
+}
+
+TEST(Dataflow, BoundedConvexityAgreesWithReachabilityOnRandomDags) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const Dataflow g = random_dag(rng);
+    const int n = g.node_count();
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<bool> mapped = random_mask(rng, n);
+      const int start = static_cast<int>(rng.uniform_int(0, n - 1));
+      mapped[static_cast<size_t>(start)] = false;
+      std::set<std::vector<int>> expected;
+      for (const std::vector<int>& set : connected_sets(g, start, mapped, 4)) {
+        EXPECT_EQ(g.is_convex(set), reference_convex(g, set)) << "seed " << seed;
+        if (reference_convex(g, set)) expected.insert(set);
+      }
+      std::set<std::vector<int>> got;
+      for (std::vector<int> s : g.extend_subgraphs(start, mapped, 4)) {
+        std::sort(s.begin(), s.end());
+        got.insert(std::move(s));
+      }
+      EXPECT_EQ(got, expected) << "seed " << seed << " start " << start;
+    }
+    // Arbitrary, possibly disconnected, member sets.
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<int> set;
+      const std::vector<bool> pick = random_mask(rng, n);
+      for (int i = 0; i < n; ++i) {
+        if (pick[static_cast<size_t>(i)]) set.push_back(i);
+      }
+      if (set.empty()) continue;
+      EXPECT_EQ(g.is_convex(set), reference_convex(g, set)) << "seed " << seed;
+    }
+  }
+}
+
+TEST(Dataflow, TopLeftNodeIsFirstUnmappedIndexOnRandomDags) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const Dataflow g = random_dag(rng);
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::vector<bool> mapped = random_mask(rng, g.node_count());
+      const auto first = std::find(mapped.begin(), mapped.end(), false);
+      const int expected = first == mapped.end()
+                               ? -1
+                               : static_cast<int>(first - mapped.begin());
+      EXPECT_EQ(g.top_left_node(mapped), expected) << "seed " << seed;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "model/model.hpp"
 #include "model/tensor.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace hcg {
 namespace {
@@ -243,6 +244,123 @@ TEST(Model, PortAccessBeforeResolveThrows) {
   EXPECT_FALSE(m.actor(a).is_resolved());
   EXPECT_THROW(m.actor(a).input(0), ModelError);
   EXPECT_THROW(m.actor(a).output(0), ModelError);
+}
+
+// The message of the ModelError `fn` throws ("" when it does not throw).
+template <typename Fn>
+std::string model_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Every wiring query answered from the index must equal a linear scan of
+// connections(), order included.
+void expect_index_matches_scan(const Model& m, int max_port) {
+  const std::vector<Connection>& all = m.connections();
+  for (ActorId id = -1; id <= m.actor_count(); ++id) {
+    std::vector<Connection> in_all, out_all;
+    for (const Connection& c : all) {
+      if (c.dst == id) in_all.push_back(c);
+      if (c.src == id) out_all.push_back(c);
+    }
+    EXPECT_EQ(m.incoming_all(id), in_all) << "actor " << id;
+    EXPECT_EQ(m.outgoing_all(id), out_all) << "actor " << id;
+    for (int port = 0; port <= max_port; ++port) {
+      std::optional<Connection> in;
+      std::vector<Connection> out;
+      for (const Connection& c : all) {
+        if (c.dst == id && c.dst_port == port && !in) in = c;
+        if (c.src == id && c.src_port == port) out.push_back(c);
+      }
+      EXPECT_EQ(m.incoming(id, port), in) << "actor " << id << " port " << port;
+      EXPECT_EQ(m.outgoing(id, port), out) << "actor " << id << " port " << port;
+    }
+  }
+  for (const Actor& a : m.actors()) EXPECT_EQ(m.find_actor(a.name()), a.id());
+  EXPECT_EQ(m.find_actor("absent"), kNoActor);
+}
+
+TEST(Model, WiringIndexMatchesLinearScanUnderRandomEdits) {
+  constexpr int kPorts = 3;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Model m("t");
+    for (int step = 0; step < 120; ++step) {
+      const int n = m.actor_count();
+      const auto pick = [&] {
+        return static_cast<ActorId>(rng.uniform_int(0, n - 1));
+      };
+      const auto port = [&] {
+        return static_cast<int>(rng.uniform_int(0, kPorts - 1));
+      };
+      const std::int64_t action = n < 2 ? 0 : rng.uniform_int(0, 9);
+      if (action <= 1) {
+        const std::string name = "a" + std::to_string(n);
+        ASSERT_EQ(m.add_actor(name, "Add"), n);
+        EXPECT_EQ(model_error([&] { m.add_actor(name, "Sub"); }),
+                  "duplicate actor name '" + name + "'");
+      } else if (action <= 6) {
+        const ActorId src = pick(), dst = pick();
+        const int src_port = port(), dst_port = port();
+        if (m.incoming(dst, dst_port)) {
+          EXPECT_EQ(model_error([&] { m.connect(src, src_port, dst, dst_port); }),
+                    "input port " + std::to_string(dst_port) + " of actor '" +
+                        m.actor(dst).name() +
+                        "' already has an incoming connection");
+        } else {
+          m.connect(src, src_port, dst, dst_port);
+        }
+      } else {
+        // Lane narrowing's splice: re-point an existing input at a new source.
+        const ActorId dst = pick(), new_src = pick();
+        const int dst_port = port();
+        if (m.incoming(dst, dst_port)) {
+          m.rewire_input(dst, dst_port, new_src, port());
+        } else {
+          EXPECT_EQ(model_error([&] { m.rewire_input(dst, dst_port, new_src, 0); }),
+                    "rewire_input: input port " + std::to_string(dst_port) +
+                        " of actor '" + m.actor(dst).name() +
+                        "' has no incoming connection");
+        }
+      }
+      expect_index_matches_scan(m, kPorts);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << " step " << step;
+      }
+    }
+    const Model copy = m;
+    EXPECT_EQ(copy.connections(), m.connections());
+    expect_index_matches_scan(copy, kPorts);
+  }
+}
+
+TEST(Model, RewireInputKeepsOutgoingInConnectionOrder) {
+  Model m("t");
+  const ActorId a = m.add_actor("a", "Inport");
+  const ActorId b = m.add_actor("b", "Inport");
+  const ActorId c = m.add_actor("c", "Add");
+  const ActorId d = m.add_actor("d", "Add");
+  m.connect(a, 0, c, 0);  // #0
+  m.connect(b, 0, c, 1);  // #1
+  m.connect(a, 0, d, 0);  // #2
+  m.connect(b, 0, d, 1);  // #3
+  m.rewire_input(d, 1, a, 0);
+  m.rewire_input(c, 1, a, 0);
+  const std::vector<Connection> out = m.outgoing(a, 0);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0].dst, c);
+  EXPECT_EQ(out[0].dst_port, 0);
+  EXPECT_EQ(out[1].dst, c);
+  EXPECT_EQ(out[1].dst_port, 1);
+  EXPECT_EQ(out[2].dst, d);
+  EXPECT_EQ(out[3].dst, d);
+  EXPECT_TRUE(m.outgoing_all(b).empty());
+  EXPECT_THROW(m.rewire_input(d, 0, 99, 0), ModelError);
+  EXPECT_THROW(m.rewire_input(99, 0, a, 0), ModelError);
 }
 
 // ---------------------------------------------------------------------------
