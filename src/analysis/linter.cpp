@@ -74,8 +74,8 @@ std::vector<ActorId> unobserved_actors(const Model& model) {
   while (!stack.empty()) {
     const ActorId id = stack.back();
     stack.pop_back();
-    for (const Connection& c : model.connections()) {
-      if (c.dst != id || live[static_cast<size_t>(c.src)]) continue;
+    for (const Connection& c : model.incoming_all(id)) {
+      if (live[static_cast<size_t>(c.src)]) continue;
       live[static_cast<size_t>(c.src)] = true;
       stack.push_back(c.src);
     }
@@ -340,11 +340,15 @@ void lint_vectorization(const Model& model, const isa::VectorIsa& isa,
         kind == ActorKind::kBatch) {
       continue;
     }
+    // The last matching wire on each side, in connection order (both
+    // index lists are ascending).
     ActorId upstream = kNoActor;
     ActorId downstream = kNoActor;
-    for (const Connection& c : model.connections()) {
-      if (c.dst == actor.id() && in_region.count(c.src)) upstream = c.src;
-      if (c.src == actor.id() && in_region.count(c.dst)) downstream = c.dst;
+    for (const Connection& c : model.incoming_all(actor.id())) {
+      if (in_region.count(c.src)) upstream = c.src;
+    }
+    for (const Connection& c : model.outgoing_all(actor.id())) {
+      if (in_region.count(c.dst)) downstream = c.dst;
     }
     if (upstream != kNoActor && downstream != kNoActor) {
       diags.remark("HCG406", actor_loc(actor),

@@ -188,7 +188,8 @@ class FunctionChecker {
       // A redundant remainder is emitted right after its main loop, before
       // anything else touches the output.  A later loop that writes the
       // same buffer *after* an intervening access is a reused slot holding
-      // a different signal (legacy -O0 buffer reuse), not a remainder.
+      // a different signal (an arena slot the reuse pass shared), not a
+      // remainder.
       std::unordered_set<std::string> own;
       collect_elementwise_writes(loop, own);
       std::unordered_set<std::string> touched_since;

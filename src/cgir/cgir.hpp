@@ -4,8 +4,9 @@
 // TranslationUnit instead of concatenating strings; optimization passes
 // (cgir/passes.hpp) then rewrite the tree — fusing region loops, forwarding
 // buffer handoffs, rebinding intermediate buffers onto an arena — before the
-// deterministic pretty-printer turns it back into C.  print() reproduces the
-// historical string emitter byte for byte when no pass has run.
+// deterministic pretty-printer turns it back into C.  Buffer rebinding runs
+// at every -O level whenever the generator reuses buffers; the loop passes
+// start at -O1.
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -465,7 +466,7 @@ struct LiveRange {
 };
 
 void record_liveness(std::vector<Stmt>& body, int& position,
-                     std::map<std::string, LiveRange>& ranges) {
+                     std::unordered_map<std::string, LiveRange>& ranges) {
   for (Stmt& top : body) {
     for (const AccessSummary& access : summarize(top)) {
       auto it = ranges.find(access.buffer);
@@ -489,7 +490,7 @@ struct ArenaSlot {
 };
 
 void reuse_arena(TranslationUnit& tu, PassStats& stats) {
-  std::map<std::string, LiveRange> ranges;
+  std::unordered_map<std::string, LiveRange> ranges;
   for (const BufferDecl& decl : tu.buffers) {
     if (decl.arena_eligible && !decl.is_const) ranges.emplace(decl.name, LiveRange{});
   }
@@ -499,24 +500,23 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
   record_liveness(tu.step.body, position, ranges);
 
   // Process buffers in order of first write so slot intervals stay disjoint.
-  std::vector<const BufferDecl*> eligible;
+  std::vector<std::pair<const BufferDecl*, LiveRange>> eligible;
   for (const BufferDecl& decl : tu.buffers) {
     if (!decl.arena_eligible || decl.is_const) continue;
-    if (ranges.at(decl.name).first_write < 0) continue;  // never written
-    eligible.push_back(&decl);
+    const LiveRange& range = ranges.at(decl.name);
+    if (range.first_write < 0) continue;  // never written
+    eligible.emplace_back(&decl, range);
   }
   std::stable_sort(eligible.begin(), eligible.end(),
-                   [&](const BufferDecl* a, const BufferDecl* b) {
-                     return ranges.at(a->name).first_write <
-                            ranges.at(b->name).first_write;
+                   [](const auto& a, const auto& b) {
+                     return a.second.first_write < b.second.first_write;
                    });
 
   std::vector<ArenaSlot> slots;
-  std::map<std::string, std::size_t> slot_of;  // buffer -> slot index
+  std::unordered_map<std::string, std::size_t> slot_of;  // buffer -> slot
   std::size_t before_bytes = 0;
-  for (const BufferDecl* decl : eligible) {
+  for (const auto& [decl, range] : eligible) {
     before_bytes += decl->bytes();
-    const LiveRange& range = ranges.at(decl->name);
     std::size_t chosen = slots.size();
     for (std::size_t s = 0; s < slots.size(); ++s) {
       if (slots[s].ctype == decl->ctype &&
@@ -552,20 +552,27 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
     slot_names.push_back(name);
   }
 
-  // Rename every rebound buffer across the whole unit.
-  auto rename_everywhere = [&](const std::string& from, const std::string& to) {
-    auto apply = [&](Stmt& stmt) {
-      if (stmt.kind != Stmt::Kind::kText) return;
-      stmt.text = replace_identifier(stmt.text, from, to);
-      for (BufferAccess& access : stmt.accesses) {
-        if (access.buffer == from) access.buffer = to;
-      }
-    };
-    for_each_stmt(tu.init.body, apply);
-    for_each_stmt(tu.step.body, apply);
+  // Rename every rebound buffer across the whole unit in one walk.
+  RenameMap renames;
+  for (const auto& [name, slot] : slot_of) renames.emplace(name, slot_names[slot]);
+  auto rename = [&](Stmt& stmt) {
+    if (stmt.kind != Stmt::Kind::kText) return;
+    stmt.text = replace_identifiers(stmt.text, renames);
+    for (BufferAccess& access : stmt.accesses) {
+      auto it = renames.find(access.buffer);
+      if (it != renames.end()) access.buffer = it->second;
+    }
   };
-  for (const auto& entry : slot_of) {
-    rename_everywhere(entry.first, slot_names[slot_of.at(entry.first)]);
+  for_each_stmt(tu.init.body, rename);
+  for_each_stmt(tu.step.body, rename);
+
+  // Record each rebinding with the live range that justified it, so the
+  // verifier can re-check slot disjointness (invisible in the renamed IR).
+  // This precedes the rebuild below, which invalidates `eligible`.
+  for (const auto& [decl, range] : eligible) {
+    stats.arena_bindings.push_back(
+        ArenaBinding{slot_names[slot_of.at(decl->name)], decl->name,
+                     range.first_write, range.last_access});
   }
 
   // Rebuild the declaration list: the first member of each slot (in decl
@@ -592,14 +599,6 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
   stats.buffers_rebound = static_cast<int>(slot_of.size());
   if (before_bytes > after_bytes) {
     stats.arena_bytes_saved = before_bytes - after_bytes;
-  }
-
-  // Record each rebinding with the live range that justified it, so the
-  // verifier can re-check slot disjointness (invisible in the renamed IR).
-  for (const auto& [name, slot] : slot_of) {
-    const LiveRange& range = ranges.at(name);
-    stats.arena_bindings.push_back(ArenaBinding{
-        slot_names[slot], name, range.first_write, range.last_access});
   }
 }
 

@@ -1,12 +1,13 @@
 // The emitter: lowers a resolved model — scheduled actors plus Algorithm 2's
-// matched batch regions — into the cgir translation unit, runs the -O1 pass
-// pipeline over it (loop fusion, copy forwarding, arena reuse), and prints
-// the result.  At -O0 the printed output is byte-identical to the historical
-// string-concatenation emitter.
+// matched batch regions — into the cgir translation unit, runs the cgir pass
+// pipeline over it, and prints the result.  Buffer reuse (the arena pass) is
+// the one allocator at every -O level; loop fusion and copy forwarding join
+// at -O1, the strip-mining, tiling and layout passes at -O2.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <optional>
 #include <set>
 
 #include "actors/catalog.hpp"
@@ -63,8 +64,7 @@ class Emitter {
     Stopwatch phase;
     {
       HCG_TRACE_SCOPE("emit.regions");
-      narrow_regions_by_range();
-      build_regions();
+      build_regions(narrow_regions_by_range());
       order_ = emission_order(model_, regions_);
     }
     finish_phase("regions", phase);
@@ -267,12 +267,14 @@ class Emitter {
   /// value fits, doubling (or quadrupling) the SIMD lanes Algorithm 2 gets
   /// to use.  Runs before build_regions() so the rebuilt regions are the
   /// narrow chains (the inserted mixed-width Casts fall out of regions by
-  /// the HCG404 rule).  Off at -O0; regions-mode only.
-  void narrow_regions_by_range() {
+  /// the HCG404 rule).  Off at -O0; regions-mode only.  Returns the regions
+  /// of its final round — that round rewrote nothing, so they match the
+  /// model — or nothing when the pass is off.
+  std::optional<std::vector<BatchRegion>> narrow_regions_by_range() {
     const bool enabled = config_.opt_level >= 1 &&
                          config_.batch_mode == BatchMode::kRegions &&
                          config_.isa != nullptr;
-    if (!enabled) return;
+    if (!enabled) return std::nullopt;
 
     int narrowed = 0;
     int blocked = 0;
@@ -315,11 +317,12 @@ class Emitter {
     // rewritten.  Rewritten chains are remembered and skipped, which bounds
     // the loop by the region count.
     analysis::RangeAnalysis ranges;
+    std::vector<BatchRegion> regions;
     for (bool progress = true; progress;) {
       progress = false;
       ranges = analysis::analyze_ranges(model_, nullptr);
-      for (const BatchRegion& region :
-           find_batch_regions(model_, *config_.isa)) {
+      regions = find_batch_regions(model_, *config_.isa);
+      for (const BatchRegion& region : regions) {
         const std::optional<DataType> cur = narrowable_type(region);
         if (!cur) continue;
         bool member_done = false;
@@ -350,8 +353,7 @@ class Emitter {
     }
 
     // Final scan: regions that would narrow but for an unprovable range.
-    for (const BatchRegion& region :
-         find_batch_regions(model_, *config_.isa)) {
+    for (const BatchRegion& region : regions) {
       const std::optional<DataType> cur = narrowable_type(region);
       if (!cur) continue;
       bool member_done = false;
@@ -382,19 +384,25 @@ class Emitter {
     static obs::Counter& narrowed_metric =
         obs::Registry::instance().counter("codegen.range.regions_narrowed");
     narrowed_metric.add(static_cast<std::uint64_t>(narrowed));
+    return regions;
   }
 
-  void build_regions() {
+  /// Sets up the batch regions the mode asks for, from `scanned` (Algorithm
+  /// 2's regions of the current model) when the narrowing pass already
+  /// computed them.
+  void build_regions(std::optional<std::vector<BatchRegion>> scanned) {
     if (config_.batch_mode == BatchMode::kRegions) {
       require(config_.isa != nullptr, "BatchMode::kRegions needs an ISA");
-      regions_ = find_batch_regions(model_, *config_.isa);
+      regions_ = scanned ? std::move(*scanned)
+                         : find_batch_regions(model_, *config_.isa);
     } else if (config_.batch_mode == BatchMode::kScattered) {
       require(config_.isa != nullptr, "BatchMode::kScattered needs an ISA");
       // One region per batch actor: each actor gets its own load/compute/
       // store loop — the "scattered SIMD" the paper attributes to Simulink
-      // Coder on Intel.
-      std::vector<BatchRegion> grouped = find_batch_regions(model_, *config_.isa);
-      for (const BatchRegion& region : grouped) {
+      // Coder on Intel.  (Narrowing is regions-mode only, so nothing was
+      // scanned yet.)
+      for (const BatchRegion& region :
+           find_batch_regions(model_, *config_.isa)) {
         for (ActorId id : region.actors) {
           regions_.push_back(singleton_batch_region(model_, id));
         }
@@ -585,32 +593,12 @@ class Emitter {
       direct_outports_.insert(id);
     }
 
-    // Live-range buffer reuse (Simulink Coder's output variable reuse).
-    // Position = index in the emission order; a signal is live from its
-    // producer's position to its last consumer's position.  At -O1 the
-    // cgir arena pass supersedes this slot naming: every signal keeps its
-    // own `sig_` buffer here, marked arena-eligible, and the pass rebinds
-    // non-overlapping ones after fusion has settled the true live ranges.
-    const bool legacy_slots = config_.reuse_buffers && config_.opt_level < 1;
-    std::map<ActorId, int> position;
-    for (size_t i = 0; i < order_.size(); ++i) {
-      if (order_[i].actor != kNoActor) {
-        position[order_[i].actor] = static_cast<int>(i);
-      } else {
-        for (ActorId id : regions_[static_cast<size_t>(order_[i].region)].actors) {
-          position[id] = static_cast<int>(i);
-        }
-      }
-    }
-
-    struct Slot {
-      std::string name;
-      DataType type;
-      Shape shape;
-      int free_at = -1;
-    };
-    std::vector<Slot> slots;
-
+    // Every other signal gets its own `sig_`/`dly_` buffer, declared in
+    // emission order.  Simulink Coder's output variable reuse is the
+    // reuse_arena pass: with reuse_buffers set, intermediate buffers are
+    // marked arena-eligible and the pass rebinds those whose live ranges
+    // over the lowered step (end-of-step delay latch and folded reads
+    // included) do not overlap.
     for (const EmissionItem& item : order_) {
       std::vector<ActorId> producers;
       if (item.actor != kNoActor) {
@@ -628,52 +616,12 @@ class Emitter {
           const bool reusable = config_.reuse_buffers &&
                                 actor.type() != "Constant" &&
                                 actor.type() != "UnitDelay";
-          int last_use = position.at(id);
-          for (const Connection& c : model_.outgoing(id, port)) {
-            // A folded consumer evaluates inside the statement of the actor
-            // it was inlined into, so the read happens at that actor's
-            // position — follow the chain to the real emission site.
-            ActorId reader = c.dst;
-            while (is_folded(reader)) {
-              reader = model_.outgoing(reader, 0).front().dst;
-            }
-            // A UnitDelay consumer reads its input in the end-of-step latch
-            // (flush_delay_updates), not at its schedule position, so the
-            // feeding buffer stays live for the whole step.
-            if (model_.actor(reader).type() == "UnitDelay") {
-              last_use = static_cast<int>(order_.size());
-            } else {
-              last_use = std::max(last_use, position.at(reader));
-            }
-          }
-
-          std::string name;
-          if (reusable && legacy_slots) {
-            Slot* found = nullptr;
-            for (Slot& slot : slots) {
-              if (slot.type == spec.type && slot.shape == spec.shape &&
-                  slot.free_at < position.at(id)) {
-                found = &slot;
-                break;
-              }
-            }
-            if (found == nullptr) {
-              slots.push_back(Slot{"buf" + std::to_string(slots.size()),
-                                   spec.type, spec.shape, -1});
-              found = &slots.back();
-              declare_buffer(found->name, spec, /*constant=*/nullptr,
-                             /*arena_eligible=*/false);
-            }
-            found->free_at = last_use;
-            name = found->name;
-          } else {
-            name = (actor.type() == "UnitDelay" ? "dly_" : "sig_") +
-                   sanitize_identifier(actor.name());
-            if (port != 0) name += "_p" + std::to_string(port);
-            const Actor* const_src =
-                actor.type() == "Constant" ? &actor : nullptr;
-            declare_buffer(name, spec, const_src, /*arena_eligible=*/reusable);
-          }
+          std::string name = (actor.type() == "UnitDelay" ? "dly_" : "sig_") +
+                             sanitize_identifier(actor.name());
+          if (port != 0) name += "_p" + std::to_string(port);
+          declare_buffer(name, spec,
+                         actor.type() == "Constant" ? &actor : nullptr,
+                         /*arena_eligible=*/reusable);
           buffer_name_[{id, port}] = name;
         }
       }
@@ -1222,42 +1170,41 @@ class Emitter {
 
   void run_pass_pipeline() {
     const bool verify = config_.verify_cgir || verify_env_enabled();
-    cgir::PassStats stats;
     if (verify) {
       // Checkpoint "lower": the freshly lowered unit, before any pass.
-      analysis::require_valid_unit(tu_, stats, "lower");
+      analysis::require_valid_unit(tu_, cgir::PassStats{}, "lower");
       out_.report.verified_passes.emplace_back("lower");
     }
     if (config_.dump_cgir_after == "lower") {
       out_.cgir_dump_after = cgir::dump(tu_);
     }
-    if (config_.opt_level >= 1) {
-      cgir::PassOptions options;
-      options.fuse_loops = true;
-      options.reuse_arena = config_.reuse_buffers;
-      if (config_.opt_level >= 2) {
-        options.fuse_cross_scale = true;
-        options.tile_scalar_loops = true;
-        options.coalesce_layout = true;
-        options.localize_strips = true;
-        options.tile_elems = config_.tile_elems > 0 ? config_.tile_elems
-                                                    : derive_tile_elems();
-      }
-      if (verify || !config_.dump_cgir_after.empty()) {
-        options.after_pass = [this, verify](std::string_view pass,
-                                            const cgir::TranslationUnit& tu,
-                                            const cgir::PassStats& pass_stats) {
-          if (verify) {
-            analysis::require_valid_unit(tu, pass_stats, pass);
-            out_.report.verified_passes.emplace_back(pass);
-          }
-          if (pass == config_.dump_cgir_after) {
-            out_.cgir_dump_after = cgir::dump(tu);
-          }
-        };
-      }
-      stats = cgir::run_passes(tu_, options);
+    // Buffer reuse runs at every level; fusion and forwarding are -O1+ only,
+    // so the -O0 baselines keep the composition the paper compares against.
+    cgir::PassOptions options;
+    options.fuse_loops = config_.opt_level >= 1;
+    options.reuse_arena = config_.reuse_buffers;
+    if (config_.opt_level >= 2) {
+      options.fuse_cross_scale = true;
+      options.tile_scalar_loops = true;
+      options.coalesce_layout = true;
+      options.localize_strips = true;
+      options.tile_elems = config_.tile_elems > 0 ? config_.tile_elems
+                                                  : derive_tile_elems();
     }
+    if (verify || !config_.dump_cgir_after.empty()) {
+      options.after_pass = [this, verify](std::string_view pass,
+                                          const cgir::TranslationUnit& tu,
+                                          const cgir::PassStats& pass_stats) {
+        if (verify) {
+          analysis::require_valid_unit(tu, pass_stats, pass);
+          out_.report.verified_passes.emplace_back(pass);
+        }
+        if (pass == config_.dump_cgir_after) {
+          out_.cgir_dump_after = cgir::dump(tu);
+        }
+      };
+    }
+    const cgir::PassStats stats = cgir::run_passes(tu_, options);
     if (config_.profile_gen) {
       // After the passes (the instrumented loops are the final ones) and
       // after the last verifier checkpoint (the injected HCG_PROF_* text

@@ -49,13 +49,13 @@ struct EmitConfig {
   /// (Simulink Coder's "expression folding").
   bool fold_scalar_expressions = false;
   /// Reuse signal buffers whose live ranges do not overlap
-  /// (Simulink Coder's "output variable reuse"; HCG inherits it).
+  /// (Simulink Coder's "output variable reuse"; HCG inherits it): the cgir
+  /// reuse_arena pass rebinds intermediate buffers onto shared slots, at
+  /// every opt level.
   bool reuse_buffers = false;
   /// Optimization level for the cgir pass pipeline run over the lowered
-  /// translation unit.  0 = lowering only (output byte-identical to the
-  /// historical string emitter); 1 = region loop fusion + copy forwarding,
-  /// and — when reuse_buffers is set — arena rebinding of intermediate
-  /// buffers (which replaces the legacy slot-reuse naming at -O1);
+  /// translation unit.  0 = no loop passes (buffer reuse only, when
+  /// reuse_buffers is set); 1 = region loop fusion + copy forwarding;
   /// 2 = additionally cross-scale producer-consumer fusion (strip-mining),
   /// scalar-loop tiling, and coalescing-aware buffer layout.
   int opt_level = 0;

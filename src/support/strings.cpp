@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <optional>
 
 #include "support/error.hpp"
 
@@ -96,32 +97,42 @@ bool identifier_char(char c) {
          (c >= '0' && c <= '9') || c == '_';
 }
 
-}  // namespace
-
-std::string replace_identifier(std::string_view text, std::string_view from,
-                               std::string_view to) {
-  if (from.empty()) return std::string(text);
+/// Copies `text`, replacing each maximal identifier-character run for which
+/// `lookup` returns a replacement.
+template <typename Lookup>
+std::string rename_tokens(std::string_view text, const Lookup& lookup) {
   std::string out;
   out.reserve(text.size());
   std::size_t pos = 0;
   while (pos < text.size()) {
-    std::size_t hit = text.find(from, pos);
-    if (hit == std::string_view::npos) {
-      out.append(text.substr(pos));
-      break;
+    if (!identifier_char(text[pos])) {
+      out.push_back(text[pos++]);
+      continue;
     }
-    bool left_ok = hit == 0 || !identifier_char(text[hit - 1]);
-    std::size_t after = hit + from.size();
-    bool right_ok = after >= text.size() || !identifier_char(text[after]);
-    out.append(text.substr(pos, hit - pos));
-    if (left_ok && right_ok) {
-      out.append(to);
-    } else {
-      out.append(from);
-    }
-    pos = after;
+    std::size_t end = pos;
+    while (end < text.size() && identifier_char(text[end])) ++end;
+    const std::string_view token = text.substr(pos, end - pos);
+    out.append(lookup(token).value_or(token));
+    pos = end;
   }
   return out;
+}
+
+}  // namespace
+
+std::string replace_identifier(std::string_view text, std::string_view from,
+                               std::string_view to) {
+  return rename_tokens(text, [&](std::string_view token) {
+    return token == from ? std::optional(to) : std::nullopt;
+  });
+}
+
+std::string replace_identifiers(std::string_view text, const RenameMap& renames) {
+  return rename_tokens(text, [&](std::string_view token) {
+    const auto it = renames.find(token);
+    return it == renames.end() ? std::nullopt
+                               : std::optional<std::string_view>(it->second);
+  });
 }
 
 std::string to_lower(std::string_view text) {

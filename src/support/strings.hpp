@@ -1,8 +1,10 @@
 // Small string utilities shared across the library.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace hcg {
@@ -33,6 +35,20 @@ std::string replace_all(std::string_view text, std::string_view from,
 /// sides), so renaming `buf1` leaves `buf10` and `sig_buf1` untouched.
 std::string replace_identifier(std::string_view text, std::string_view from,
                                std::string_view to);
+
+/// Identifier renames, old name -> new name, looked up by string_view.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const {
+    return std::hash<std::string_view>{}(text);
+  }
+};
+using RenameMap =
+    std::unordered_map<std::string, std::string, StringHash, std::equal_to<>>;
+
+/// Applies every rename in `renames` at once, with replace_identifier's
+/// token boundaries: a replacement is never renamed again.
+std::string replace_identifiers(std::string_view text, const RenameMap& renames);
 
 /// Lower-cases ASCII letters.
 std::string to_lower(std::string_view text);

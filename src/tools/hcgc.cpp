@@ -91,6 +91,7 @@
 // Exit codes: 0 ok, 1 verify mismatch/other error, 2 usage, 3 parse error,
 // 4 invalid model, 5 synthesis failure, 6 codegen failure, 7 toolchain
 // failure, 8 lint errors, 10 fuzz counterexample found, 70 internal error.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -98,6 +99,8 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "actors/catalog.hpp"
@@ -209,6 +212,24 @@ bool known_command(const std::string& name) {
          name == "isa" || name == "fuzz" || name == "faults";
 }
 
+/// Reads the value of a numeric flag strictly: the whole text must be one
+/// finite number of type T, at least `lo`.  An empty value, trailing
+/// characters, or a value out of range is a usage error naming `expected`.
+template <typename T>
+T flag_number(const std::string& flag, std::string_view text, T lo,
+              const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && ec == std::errc() && stop == end && value >= lo;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw Error(flag + " needs " + expected + ", got '" + std::string(text) +
+                "'");
+  }
+  return value;
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
@@ -242,17 +263,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--history") {
       opt.history_path = value();
     } else if (arg == "--threshold") {
-      opt.threshold = std::atoi(value());
+      opt.threshold = flag_number<int>(arg, value(), 0, "a node count >= 0");
     } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(value());
-      if (opt.jobs < 1) throw Error("--jobs needs a positive thread count");
+      opt.jobs = flag_number<int>(arg, value(), 1, "a positive thread count");
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      opt.seed = flag_number<std::uint64_t>(arg, value(), 0, "a seed >= 0");
     } else if (arg == "--cc-timeout") {
-      opt.cc_timeout = std::atof(value());
+      opt.cc_timeout = flag_number<double>(arg, value(), 0.0, "seconds >= 0");
     } else if (arg == "--cc-retries") {
-      opt.cc_retries = std::atoi(value());
-      if (opt.cc_retries < 0) throw Error("--cc-retries needs a count >= 0");
+      opt.cc_retries = flag_number<int>(arg, value(), 0, "a count >= 0");
     } else if (arg == "--report") {
       opt.report_path = value();
     } else if (arg == "--trace") {
@@ -267,8 +286,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "-O2") {
       opt.opt_level = 2;
     } else if (arg == "--tile-elems") {
-      opt.tile_elems = std::atoi(value());
-      if (opt.tile_elems < 2) throw Error("--tile-elems needs a width >= 2");
+      opt.tile_elems = flag_number<int>(arg, value(), 2, "a width >= 2");
     } else if (arg == "--dump-cgir") {
       opt.dump_cgir = true;
     } else if (arg.rfind("--dump-cgir-after=", 0) == 0) {
@@ -286,19 +304,14 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--profile-gen") {
       opt.profile_gen = true;
     } else if (arg == "--reps") {
-      opt.reps = std::atoi(value());
-      if (opt.reps < 1) throw Error("--reps needs a positive count");
+      opt.reps = flag_number<int>(arg, value(), 1, "a positive count");
     } else if (arg == "--err-threshold") {
-      opt.err_threshold = std::atof(value());
-      if (opt.err_threshold < 0) {
-        throw Error("--err-threshold needs a percentage >= 0");
-      }
+      opt.err_threshold =
+          flag_number<double>(arg, value(), 0.0, "a percentage >= 0");
     } else if (arg == "--seeds") {
-      opt.seeds = std::atoi(value());
-      if (opt.seeds < 1) throw Error("--seeds needs a positive count");
+      opt.seeds = flag_number<int>(arg, value(), 1, "a positive count");
     } else if (arg == "--max-actors") {
-      opt.max_actors = std::atoi(value());
-      if (opt.max_actors < 1) throw Error("--max-actors needs a count >= 1");
+      opt.max_actors = flag_number<int>(arg, value(), 1, "a count >= 1");
     } else if (arg == "--corpus") {
       opt.corpus_dir = value();
     } else if (arg == "--sweep-faults") {
@@ -398,7 +411,9 @@ void finish_report(const Options& opt, codegen::GeneratedCode& code,
 
 int cmd_generate(const Options& opt) {
   Stopwatch load_timer;
-  Model model = resolved(load_model_file(opt.model_path));
+  // Unresolved: the emitter resolves its own copy (an invalid model still
+  // fails there with a ModelError).
+  const Model model = load_model_file(opt.model_path);
   const double load_ms = load_timer.elapsed_seconds() * 1e3;
   isa::VectorIsa file_isa;
   const isa::VectorIsa& table = resolve_isa(opt.isa_name, file_isa);

@@ -340,6 +340,19 @@ TEST_F(CliFixture, DumpCgirAfterSnapshotsNamedPass) {
                               " --dump-cgir-after=coalesce_layout");
   EXPECT_EQ(not_run.exit_code, 1);
   EXPECT_NE(not_run.output.find("did not run"), std::string::npos);
+
+  // Buffer reuse is the arena pass at every level, so a -O0 baseline that
+  // reuses buffers runs (and can snapshot) it, and reports what it saved.
+  const std::string arena_dump = (dir_.path() / "arena.cgir").string();
+  const std::string arena_report = (dir_.path() / "arena.json").string();
+  CliResult baseline = run_cli(
+      "generate " HCG_REPO_ROOT "/examples/models/rangepipe.xml"
+      " --tool simulink -O0 --dump-cgir-after=reuse_arena --out " +
+      arena_dump + " --report " + arena_report);
+  ASSERT_EQ(baseline.exit_code, 0) << baseline.output;
+  EXPECT_EQ(read_file(arena_dump).rfind("cgir-v1", 0), 0u);
+  const obs::JsonValue doc = obs::json_parse(read_file(arena_report));
+  EXPECT_GT(doc.at("codegen").at("arena").at("bytes_saved").number, 0);
 }
 
 TEST_F(CliFixture, TileElemsValidatesWidth) {

@@ -224,6 +224,9 @@ TEST(Codegen, BufferReuseShrinksSimulinkStaticFootprint) {
   GeneratedCode with_reuse = sc->generate(model);
   GeneratedCode without = df->generate(model);
   EXPECT_LT(with_reuse.static_buffer_bytes, without.static_buffer_bytes);
+  // The sharing is the arena pass, which runs at -O0 without fusion.
+  EXPECT_EQ(with_reuse.report.loops_fused, 0);
+  EXPECT_GT(with_reuse.report.arena_bytes_saved, 0u);
   EXPECT_NE(with_reuse.source.find("static float buf0[256];"),
             std::string::npos);
 }

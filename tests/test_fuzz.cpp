@@ -163,6 +163,31 @@ TEST(FuzzDifferential, CleanSeedsProduceNoFindings) {
   }
 }
 
+// The committed minimized reproducers (examples/models/fuzz/) stay fixed:
+// each runs through hcg at every -O level plus the baselines against the VM
+// oracle.  The two _O0_ files guard the buffer-liveness bugs the arena pass
+// now owns (the end-of-step delay latch and folded-consumer reads).
+TEST(FuzzDifferential, CommittedReproducersAgreeWithOracle) {
+  HarnessConfig config;
+  config.isas = {"neon_sim"};
+  config.opt_levels = {0, 1, 2};
+  config.baselines = true;
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(HCG_REPO_ROOT) / "examples/models/fuzz")) {
+    if (entry.path().extension() != ".xml") continue;
+    ++files;
+    const Model model = load_model_file(entry.path().string());
+    int cells = 0;
+    for (const Finding& f : check_model(model, /*seed=*/0, config, &cells)) {
+      ADD_FAILURE() << entry.path().filename() << ": " << f.signature
+                    << " — " << f.detail;
+    }
+    EXPECT_GE(cells, 5) << entry.path().filename();
+  }
+  EXPECT_GE(files, 4);
+}
+
 TEST(FuzzDifferential, FaultSweepAcceptsCleanDegradation) {
 #ifdef HCG_DISABLE_FAULTS
   GTEST_SKIP() << "fault probes compiled to no-ops";

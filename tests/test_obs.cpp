@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -187,6 +188,36 @@ TEST_F(TracerFixture, SummaryIndentsChildren) {
   EXPECT_NE(text.find("root"), std::string::npos);
   EXPECT_NE(text.find("  child"), std::string::npos);
   EXPECT_NE(text.find("ms"), std::string::npos);
+}
+
+/// Span counts, by name, that one -O1 hcg emit of `model` records.
+std::map<std::string, int> emit_span_counts(const Model& model) {
+  synth::SelectionHistory history;
+  auto tool = codegen::make_hcg_generator(isa::builtin("neon_sim"), &history,
+                                          {}, /*opt_level=*/1);
+  obs::Tracer::instance().clear();
+  tool->generate(model);
+  std::map<std::string, int> counts;
+  for (const obs::TraceEvent& event : obs::Tracer::instance().events()) {
+    ++counts[event.name];
+  }
+  return counts;
+}
+
+// Emit computes each analysis once: one schedule for resolve, one for the
+// range analysis and one for the single region scan that narrowing, its
+// HCG412 scan and the region builder share.  A narrowing round adds a
+// re-resolve plus one more range analysis and region scan.
+TEST_F(TracerFixture, EmitSchedulesAndScansRegionsOnce) {
+  const std::map<std::string, int> fir =
+      emit_span_counts(benchmodels::fir_model());
+  EXPECT_EQ(fir.at("model.schedule"), 3);
+  EXPECT_EQ(fir.at("analysis.range"), 1);
+
+  const std::map<std::string, int> narrowed =
+      emit_span_counts(benchmodels::rangepipe_model());
+  EXPECT_EQ(narrowed.at("model.schedule"), 6);
+  EXPECT_EQ(narrowed.at("analysis.range"), 2);
 }
 
 #endif  // HCG_DISABLE_TRACING

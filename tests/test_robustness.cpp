@@ -720,6 +720,72 @@ TEST_F(RobustCli, DegradedVerifyStillPassesTheOracle) {
   EXPECT_NE(r.output.find("VERIFY OK"), std::string::npos);
 }
 
+// Every numeric flag goes through one checked parser: an empty value,
+// trailing characters, an out-of-range value or a negative timeout is a
+// usage error (exit 2), not a silent zero.  The model is a plain batch chain
+// so the accepted rows stay cheap, and each run clears HCG_FAULTS so the
+// accepted rows exit 0 under any ambient fault spec.
+TEST_F(RobustCli, BadNumericFlagsExitTwo) {
+  const std::string model = (dir_.path() / "chain.xml").string();
+  write_file(model, R"(
+<model name="robust_chain">
+  <actor name="a" type="Inport" dtype="i32" shape="64"/>
+  <actor name="b" type="Inport" dtype="i32" shape="64"/>
+  <actor name="s" type="Add"/>
+  <actor name="y" type="Outport"/>
+  <connect from="a" to="s:0"/>
+  <connect from="b" to="s:1"/>
+  <connect from="s" to="y"/>
+</model>)");
+  struct Case {
+    const char* flags;
+    int exit_code;
+  };
+  const Case cases[] = {
+      {"--threshold abc", 2},
+      {"--threshold ''", 2},
+      {"--threshold -1", 2},
+      {"--threshold 3", 0},
+      {"--jobs 0", 2},
+      {"--jobs 2x", 2},
+      {"--jobs 99999999999", 2},
+      {"--jobs 2", 0},
+      {"--seed zz", 2},
+      {"--seed -1", 2},
+      {"--seed 18446744073709551616", 2},
+      {"--seed 18446744073709551615", 0},
+      {"--cc-timeout -3", 2},
+      {"--cc-timeout 1s", 2},
+      {"--cc-timeout nan", 2},
+      {"--cc-timeout 2.5", 0},
+      {"--cc-retries 1.5", 2},
+      {"--cc-retries 1", 0},
+      {"-O2 --tile-elems 7x", 2},
+      {"-O2 --tile-elems ' 8'", 2},
+      {"-O2 --tile-elems 8", 0},
+      {"--reps 5x", 2},
+      {"--reps 5", 0},
+      {"--err-threshold inf", 2},
+      {"--err-threshold -0.5", 2},
+      {"--err-threshold 12.5", 0},
+      {"--seeds 1e3", 2},
+      {"--seeds 3", 0},
+      {"--max-actors ''", 2},
+      {"--max-actors 0", 2},
+      {"--max-actors 8", 0},
+  };
+  for (const Case& c : cases) {
+    CliResult r = run_hcgc("HCG_FAULTS=", "generate " + model +
+                                              " --isa neon_sim " + c.flags +
+                                              " --out " +
+                                              (dir_.path() / "n.c").string());
+    EXPECT_EQ(r.exit_code, c.exit_code) << c.flags << "\n" << r.output;
+    if (c.exit_code == 2) {
+      EXPECT_NE(r.output.find("needs"), std::string::npos) << r.output;
+    }
+  }
+}
+
 // Runs under whatever HCG_FAULTS the environment carries (CI sweeps a small
 // matrix over this binary): generation must complete or fail loudly with a
 // mapped error — never crash — and with no ambient faults it must be clean.

@@ -61,6 +61,22 @@ TEST(Strings, ReplaceAll) {
   EXPECT_EQ(replace_all("isa neon isa", "isa", "ISA"), "ISA neon ISA");
 }
 
+TEST(Strings, ReplaceIdentifiersRenamesWholeTokensAtOnce) {
+  const RenameMap renames = {
+      {"buf1", "sig_a"}, {"sig_a", "buf1"}, {"x", "y"}};
+  // Whole tokens only, like replace_identifier; the swap shows a replacement
+  // is never renamed again.
+  EXPECT_EQ(replace_identifiers("buf1[i] = sig_a[i] + buf10[i] * 2x;", renames),
+            "sig_a[i] = buf1[i] + buf10[i] * 2x;");
+  EXPECT_EQ(replace_identifiers("x+x_1+_x", renames), "y+x_1+_x");
+  EXPECT_EQ(replace_identifiers("", renames), "");
+  for (const char* text : {"buf1 = buf10;", "(buf1)[0]", "a.buf1"}) {
+    EXPECT_EQ(replace_identifiers(text, {{"buf1", "t"}}),
+              replace_identifier(text, "buf1", "t"))
+        << text;
+  }
+}
+
 TEST(Strings, ToLower) {
   EXPECT_EQ(to_lower("HeLLo_123"), "hello_123");
 }
